@@ -2,13 +2,14 @@
 //! them on the simulator.
 //!
 //! An [`InferenceImage`] is a fully linked program (code + weights +
-//! buffers) for one of three flavours:
+//! buffers) for one of four flavours:
 //!
 //! | Flavour                 | Paper model             | Table IX row |
 //! |-------------------------|-------------------------|--------------|
 //! | [`Flavor::Float`]       | KWT-Tiny (soft-float)   | 26 M cycles  |
 //! | [`Flavor::Quantized`]   | KWT-Tiny-Q              | 13 M cycles  |
 //! | [`Flavor::Accelerated`] | KWT-Tiny-Q (+Hardware)  | 5.5 M cycles |
+//! | [`Flavor::A8`]          | fully-INT8 on Xkwtdot   | —            |
 //!
 //! Activations live in the paper's two static banks (§V), sized
 //! `SEQLEN x MLP_DIM` and `SEQLEN x DIM_HEAD x 3` elements; the builder's
@@ -40,9 +41,20 @@ pub enum Flavor {
     /// Quantised pipeline + custom-instruction SoftMax/GELU.
     Accelerated,
     /// Fully-INT8 (A8W8) pipeline over `kdot4.i8`, LUT non-linearities
-    /// and the fused attention row pipeline — always
-    /// [`KernelIsa::Xkwtdot`].
+    /// and the fused attention row pipeline.
     A8,
+}
+
+impl Flavor {
+    /// The kernel ISA the flavour's image is generated for:
+    /// [`KernelIsa::Xkwtdot`] for [`Flavor::A8`], scalar
+    /// [`KernelIsa::Rv32im`] for every other flavour.
+    pub fn isa(self) -> KernelIsa {
+        match self {
+            Flavor::A8 => KernelIsa::Xkwtdot,
+            Flavor::Float | Flavor::Quantized | Flavor::Accelerated => KernelIsa::Rv32im,
+        }
+    }
 }
 
 /// A built inference program plus everything needed to run it.
@@ -50,8 +62,6 @@ pub enum Flavor {
 pub struct InferenceImage {
     /// The pipeline flavour.
     pub flavor: Flavor,
-    /// Which kernel ISA the image was generated for.
-    pub isa: KernelIsa,
     /// The linked program (text + data).
     pub program: Program,
     /// Model architecture.
@@ -123,19 +133,7 @@ impl InferenceImage {
     /// not fit the paper's banks, or [`BuildError::RamBudget`] if the
     /// image exceeds the 64 kB platform.
     pub fn build_float(params: &KwtParams) -> Result<Self> {
-        Self::build_float_on(params, Platform::ibex())
-    }
-
-    /// [`Self::build_float`] linked against an explicit [`Platform`] —
-    /// [`Platform::ibex_with_ram`] admits KWT-1-scale images whose
-    /// weights exceed the paper's 64 kB part (the timing model is
-    /// unchanged, so simulated cycles stay comparable).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::build_float`], with the RAM budget
-    /// checked against `platform`.
-    pub fn build_float_on(params: &KwtParams, platform: Platform) -> Result<Self> {
+        let platform = Platform::ibex();
         let c = params.config;
         if c.heads != 1 {
             return Err(BuildError::Model(format!(
@@ -401,7 +399,6 @@ impl InferenceImage {
         check_ram(&program, &platform)?;
         Ok(InferenceImage {
             flavor: Flavor::Float,
-            isa: KernelIsa::Rv32im,
             program,
             config: c,
             qconfig: None,
@@ -419,41 +416,13 @@ impl InferenceImage {
 
     /// Builds a quantised image (`Flavor::Quantized` or
     /// `Flavor::Accelerated` according to the model's
-    /// [`Nonlinearity`]) over the scalar [`KernelIsa::Rv32im`] kernels.
+    /// [`Nonlinearity`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`InferenceImage::build_float`].
     pub fn build_quant(qm: &QuantizedKwt) -> Result<Self> {
-        Self::build_quant_with_isa(qm, KernelIsa::Rv32im)
-    }
-
-    /// Builds a quantised image over the chosen kernel ISA. Under
-    /// [`KernelIsa::Xkwtdot`] every INT8 weight matrix is emitted
-    /// **transposed** (word-aligned, `N×K` row-major) so the packed GEMM
-    /// walks contiguous memory; the generated logits are bit-identical
-    /// to the scalar image's (proven by differential tests).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferenceImage::build_float`].
-    pub fn build_quant_with_isa(qm: &QuantizedKwt, isa: KernelIsa) -> Result<Self> {
-        Self::build_quant_with_isa_on(qm, isa, Platform::ibex())
-    }
-
-    /// [`Self::build_quant_with_isa`] linked against an explicit
-    /// [`Platform`] (see [`Self::build_float_on`]) — the path that fits
-    /// a KWT-1-sized weight set on a roomier simulated part.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferenceImage::build_float`], with the RAM
-    /// budget checked against `platform`.
-    pub fn build_quant_with_isa_on(
-        qm: &QuantizedKwt,
-        isa: KernelIsa,
-        platform: Platform,
-    ) -> Result<Self> {
+        let platform = Platform::ibex();
         let c = qm.config;
         if c.heads != 1 {
             return Err(BuildError::Model(format!(
@@ -476,20 +445,8 @@ impl InferenceImage {
         let mut asm = Asm::new(TEXT_BASE, DATA_BASE);
 
         // ---- data: weights ----
-        // Under Xkwtdot every i8 weight matrix is emitted transposed
-        // (N×K row-major, word-aligned) so the packed GEMM loads walk
-        // contiguous memory.
-        let emit_w = |asm: &mut Asm, w: &kwt_tensor::Mat<i8>| -> u32 {
-            match isa {
-                KernelIsa::Rv32im => asm.data_bytes_i8(w.as_slice()),
-                KernelIsa::Xkwtdot => {
-                    asm.data_align(4);
-                    asm.data_bytes_i8(w.transpose().as_slice())
-                }
-            }
-        };
         let (wp, bp, pe, ct, wh, bh) = qm.tensors();
-        let w_proj = emit_w(&mut asm, wp);
+        let w_proj = asm.data_bytes_i8(wp.as_slice());
         let b_proj = asm.data_words_i32(bp);
         let pos = asm.data_halves_i16(pe.as_slice());
         let cls = asm.data_halves_i16(ct);
@@ -498,21 +455,21 @@ impl InferenceImage {
             let (w_qkv, b_qkv, w_out, b_out, g1, be1, w1, b1, w2, b2, g2, be2) =
                 qm.layer_tensors(idx);
             layers_data.push((
-                emit_w(&mut asm, w_qkv),
+                asm.data_bytes_i8(w_qkv.as_slice()),
                 asm.data_words_i32(b_qkv),
-                emit_w(&mut asm, w_out),
+                asm.data_bytes_i8(w_out.as_slice()),
                 asm.data_words_i32(b_out),
                 asm.data_words_f32(g1),
                 asm.data_words_f32(be1),
-                emit_w(&mut asm, w1),
+                asm.data_bytes_i8(w1.as_slice()),
                 asm.data_words_i32(b1),
-                emit_w(&mut asm, w2),
+                asm.data_bytes_i8(w2.as_slice()),
                 asm.data_words_i32(b2),
                 asm.data_words_f32(g2),
                 asm.data_words_f32(be2),
             ));
         }
-        let w_head = emit_w(&mut asm, wh);
+        let w_head = asm.data_bytes_i8(wh.as_slice());
         let b_head = asm.data_words_i32(bh);
 
         // parameter blocks
@@ -545,12 +502,8 @@ impl InferenceImage {
         // (data_words_i32 already wrote zeros; overwrite through a second
         // reservation is not possible, so write the real block here)
         let _ = attn_p;
-        // padded score length and (Xkwtdot only) the V-transpose scratch
+        // padded score length (the row16 buffer holds KP entries)
         let kp = (s + 3) & !3;
-        let vt = match isa {
-            KernelIsa::Rv32im => 0u32,
-            KernelIsa::Xkwtdot => asm.data_reserve(dh * kp * 2, 4),
-        };
         let attn_params_addr = asm.data_words_i32(&[
             ya as i32,
             inv_sqrt_dh,
@@ -558,7 +511,7 @@ impl InferenceImage {
             req,
             scratch as i32,
             nl,
-            vt as i32,
+            0, // reserved
             kp as i32,
         ]);
         debug_assert_eq!(attn_params::SIZE, 32);
@@ -573,7 +526,7 @@ impl InferenceImage {
         let mut bank1 = Bank::new("bank1", bank1_base, s * mlp * 2);
         let mut bank2 = Bank::new("bank2", bank2_base, s * dh * 3 * 2);
         // every run-time-written region; the rest of the image is static
-        let mut mutable_ranges = vec![
+        let mutable_ranges = vec![
             (input, (t * f * 2) as u32),
             (x, (s * dim * 2) as u32),
             (logits, (classes * 2) as u32),
@@ -581,16 +534,13 @@ impl InferenceImage {
             (bank1_base, (s * mlp * 2) as u32),
             (bank2_base, (s * dh * 3 * 2) as u32),
         ];
-        if isa == KernelIsa::Xkwtdot {
-            mutable_ranges.push((vt, (dh * kp * 2) as u32));
-        }
 
         // ---- code ----
         let over = asm.new_label();
         asm.jump_to(over);
-        let sf = SoftFloat::emit_with_isa(&mut asm, isa);
+        let sf = SoftFloat::emit(&mut asm);
         let math = MathLib::emit(&mut asm, &sf);
-        let k = Kernels::emit_with_isa(&mut asm, &sf, &math, isa);
+        let k = Kernels::emit(&mut asm, &sf, &math);
         asm.bind(over)?;
         asm.here("entry");
 
@@ -659,8 +609,7 @@ impl InferenceImage {
             pop_region(&mut asm);
             bank1.reset();
             let sa = bank1.alloc(s * dh * 2, 4)?;
-            // padded to KP entries so the packed N==1 GEMM can walk it
-            // in word-sized lanes (the tail stays zero on both ISAs)
+            // padded to KP entries (the tail stays zero)
             let row16 = bank1.alloc(kp * 2, 4)?;
             let attn_out = bank1.alloc(s * dim * 2, 4)?;
             set_args(
@@ -802,7 +751,6 @@ impl InferenceImage {
             } else {
                 Flavor::Quantized
             },
-            isa,
             program,
             config: c,
             qconfig: Some(qm.qconfig),
@@ -818,12 +766,12 @@ impl InferenceImage {
         })
     }
 
-    /// Builds the fully-INT8 A8W8 image ([`Flavor::A8`], always
+    /// Builds the fully-INT8 A8W8 image ([`Flavor::A8`], on
     /// [`KernelIsa::Xkwtdot`]): i8 activations end to end over
     /// `kdot4.i8` GEMM inner loops, the fused scores→softmax→context
     /// attention row pipeline, fused LayerNorm/GELU boundaries and LUT
     /// non-linearities. Weights are emitted transposed (`N×K`,
-    /// word-aligned) like the i16 Xkwtdot image.
+    /// word-aligned) so the packed loads walk contiguous memory.
     ///
     /// Device logits are bit-identical to the host golden model
     /// [`A8Kwt::forward_a8_into`] (proven by differential tests).
@@ -862,8 +810,10 @@ impl InferenceImage {
         Self::build_a8_with_on(qm, tuned, Platform::ibex())
     }
 
-    /// [`Self::build_a8_with`] linked against an explicit [`Platform`]
-    /// (see [`Self::build_float_on`]).
+    /// [`Self::build_a8_with`] linked against an explicit [`Platform`] —
+    /// [`Platform::ibex_with_ram`] admits KWT-1-scale images whose
+    /// weights exceed the paper's 64 kB part (the timing model is
+    /// unchanged, so simulated cycles stay comparable).
     ///
     /// # Errors
     ///
@@ -1244,7 +1194,6 @@ impl InferenceImage {
         check_ram(&program, &platform)?;
         Ok(InferenceImage {
             flavor: Flavor::A8,
-            isa: KernelIsa::Xkwtdot,
             program,
             config: c,
             qconfig: None,
@@ -1267,7 +1216,7 @@ impl InferenceImage {
 
     /// The simulated platform this image was linked against — the 64 kB
     /// Ibex for every paper flavour, a [`Platform::ibex_with_ram`]
-    /// variant for KWT-1-scale builds (`*_on` constructors).
+    /// variant for KWT-1-scale builds ([`Self::build_a8_with_on`]).
     pub fn platform(&self) -> Platform {
         self.platform
     }
@@ -1367,7 +1316,6 @@ impl InferenceImage {
         Ok(DeviceSession {
             machine,
             flavor: self.flavor,
-            isa: self.isa,
             config: self.config,
             qconfig: self.qconfig,
             a8config: self.a8config,
@@ -1391,7 +1339,6 @@ impl InferenceImage {
 pub struct DeviceSession {
     machine: Machine,
     flavor: Flavor,
-    isa: KernelIsa,
     config: KwtConfig,
     qconfig: Option<QuantConfig>,
     a8config: Option<A8Config>,
@@ -1405,11 +1352,6 @@ impl DeviceSession {
     /// The image flavour this session runs.
     pub fn flavor(&self) -> Flavor {
         self.flavor
-    }
-
-    /// The kernel ISA of the loaded image.
-    pub fn isa(&self) -> KernelIsa {
-        self.isa
     }
 
     /// The model configuration this session runs.
@@ -1959,78 +1901,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn xkwtdot_image_bit_identical_to_scalar_and_faster() {
-        // The Xkwtdot image must produce bit-identical logits to the
-        // scalar-ISA image on every flavour/seed, with a large cycle
-        // reduction — the paper's 13 M -> 5.5 M trajectory continued.
-        let params = trained_ish();
-        let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
-        let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
-        for model in [&qm, &accel] {
-            let scalar = InferenceImage::build_quant(model).unwrap();
-            let packed = InferenceImage::build_quant_with_isa(model, KernelIsa::Xkwtdot).unwrap();
-            assert_eq!(scalar.isa, KernelIsa::Rv32im);
-            assert_eq!(packed.isa, KernelIsa::Xkwtdot);
-            assert_eq!(scalar.flavor, packed.flavor);
-            for seed in [31u64, 32, 33] {
-                let x = test_input(seed);
-                let (sl, sr, _) = scalar.run(&x).unwrap();
-                let (pl, pr, _) = packed.run(&x).unwrap();
-                for (a, b) in sl.iter().zip(&pl) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{:?} seed {seed}: scalar {a} vs xkwtdot {b}",
-                        scalar.flavor
-                    );
-                }
-                assert!(
-                    pr.cycles * 3 < sr.cycles * 2,
-                    "{:?} seed {seed}: expected >=1.5x cycle cut, got {} vs {}",
-                    scalar.flavor,
-                    pr.cycles,
-                    sr.cycles
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn xkwtdot_histogram_attributes_packed_classes() {
-        use kwt_rv32::InstClass;
-        let params = trained_ish();
-        let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
-            .with_nonlinearity(Nonlinearity::FixedLut);
-        let image = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
-        let mut session = image.session().unwrap();
-        session.set_class_histogram_enabled(true);
-        session.run(&test_input(9)).unwrap();
-        let h = session.machine().class_histogram();
-        assert!(
-            h.count(InstClass::PackedDot) > 10_000,
-            "kdot2 in the hot loop"
-        );
-        assert!(
-            h.count(InstClass::PackedLoad) > 10_000,
-            "klw.b2h feeds the weights"
-        );
-        assert!(
-            h.count(InstClass::PackedCvt) > 1_000,
-            "kcvt quant boundaries"
-        );
-        assert!(h.count(InstClass::PackedAlu) > 100, "ksat epilogues");
-        assert_eq!(h.total_cycles(), session.machine().cpu.cycles);
-        // the scalar image must use none of them
-        let scalar = InferenceImage::build_quant(&qm).unwrap();
-        let mut s2 = scalar.session().unwrap();
-        s2.set_class_histogram_enabled(true);
-        s2.run(&test_input(9)).unwrap();
-        let hs = s2.machine().class_histogram();
-        assert_eq!(hs.count(InstClass::PackedDot), 0);
-        assert_eq!(hs.count(InstClass::PackedLoad), 0);
-    }
-
     /// MFCC-shaped test inputs (large positive c0, decaying higher
     /// coefficients) matching the range the A8 exponents target.
     fn mfcc_like_input(seed: u64) -> Mat<f32> {
@@ -2067,7 +1937,7 @@ mod tests {
             let qm = A8Kwt::quantize(&params, a8cfg).unwrap();
             let image = InferenceImage::build_a8(&qm).unwrap();
             assert_eq!(image.flavor, Flavor::A8);
-            assert_eq!(image.isa, KernelIsa::Xkwtdot);
+            assert_eq!(image.flavor.isa(), KernelIsa::Xkwtdot);
             let mut session = image.session().unwrap();
             for seed in 0..6u64 {
                 let x = mfcc_like_input(seed * 31 + 7);
@@ -2123,6 +1993,12 @@ mod tests {
         assert!(s16.run_prequantized_into(&q, &mut lq).is_err());
     }
 
+    /// Cycles the retired i16 pipeline on Xkwtdot (packed `kdot2.i16`
+    /// GEMMs over the accelerated model) took on exactly the input of
+    /// `a8_image_is_fastest_variant`. That image is no longer built;
+    /// the figure keeps A8's margin over it pinned.
+    const I16_XKWTDOT_CYCLES: u64 = 421_281;
+
     #[test]
     fn a8_image_is_fastest_variant() {
         // The whole point: kdot4 + the fused attention pipeline must
@@ -2130,19 +2006,14 @@ mod tests {
         // the 0.30 M-cycle acceptance bar.
         use kwt_quant::{A8Config, A8Kwt};
         let params = trained_ish();
-        let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
-            .with_nonlinearity(Nonlinearity::FixedLut);
-        let ximage = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
         let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
         let a8image = InferenceImage::build_a8(&a8).unwrap();
-        let x = mfcc_like_input(42);
-        let (_, rx, _) = ximage.run(&x).unwrap();
-        let (_, ra, _) = a8image.run(&x).unwrap();
+        let (_, ra, _) = a8image.run(&mfcc_like_input(42)).unwrap();
         assert!(
-            ra.cycles * 5 < rx.cycles * 4,
+            ra.cycles * 5 < I16_XKWTDOT_CYCLES * 4,
             "A8 should cut ≥20% off the i16 Xkwtdot image: {} vs {}",
             ra.cycles,
-            rx.cycles
+            I16_XKWTDOT_CYCLES
         );
         assert!(
             ra.cycles < 300_000,

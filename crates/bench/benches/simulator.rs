@@ -41,40 +41,30 @@ fn bench_program(c: &mut Criterion, name: &str, program: &kwt_rvasm::Program) {
     g.finish();
 }
 
-/// Scalar vs Xkwtdot inference image: one full quantised+LUT inference
-/// per iteration on a persistent session (warm decode cache), so the
+/// Scalar accelerated image vs the A8 image: one full inference per
+/// iteration on a persistent session (warm decode cache), so the
 /// measured ratio is the packed-MAC extension's end-to-end win.
 fn bench_isa_variants(c: &mut Criterion) {
-    use kwt_baremetal::{InferenceImage, KernelIsa};
-    use kwt_quant::{Nonlinearity, QuantConfig, QuantizedKwt};
+    use kwt_baremetal::InferenceImage;
+    use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
     use kwt_tensor::Mat;
     let params = kwt_bench::enginebench::bench_params();
     let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best())
         .with_nonlinearity(Nonlinearity::FixedLut);
+    let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
     let mfcc = Mat::from_fn(26, 16, |r, col| {
         let h = ((r * 16 + col) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 10.0
     });
     let mut g = c.benchmark_group("rv32_inference_isa");
-    for (name, isa) in [
-        ("rv32im", KernelIsa::Rv32im),
-        ("xkwtdot", KernelIsa::Xkwtdot),
+    for (name, image) in [
+        ("rv32im", InferenceImage::build_quant(&qm).unwrap()),
+        // the fully-INT8 kdot4 image with the fused attention row pipeline
+        ("xkwtdot_a8", InferenceImage::build_a8(&a8).unwrap()),
     ] {
-        let image = InferenceImage::build_quant_with_isa(&qm, isa).unwrap();
         let mut session = image.session().unwrap();
         let mut logits = Vec::new();
         g.bench_function(name, |b| {
-            b.iter(|| session.run_into(&mfcc, &mut logits).unwrap())
-        });
-    }
-    // the fully-INT8 kdot4 image with the fused attention row pipeline
-    {
-        use kwt_quant::{A8Config, A8Kwt};
-        let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).unwrap();
-        let image = InferenceImage::build_a8(&a8).unwrap();
-        let mut session = image.session().unwrap();
-        let mut logits = Vec::new();
-        g.bench_function("xkwtdot_a8", |b| {
             b.iter(|| session.run_into(&mfcc, &mut logits).unwrap())
         });
     }

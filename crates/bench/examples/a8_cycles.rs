@@ -1,6 +1,6 @@
 //! Cycle-attribution probe for the fully-INT8 A8 image: one inference
 //! with the per-instruction-class histogram and the profiler region
-//! table (the A8 companion of `isa_ratio`).
+//! table.
 //!
 //! Run with `cargo run --release -p kwt-bench --example a8_cycles`.
 

@@ -19,7 +19,7 @@
 
 use crate::timing::{smoke, time_ns};
 use kwt_audio::kwt_tiny_frontend;
-use kwt_baremetal::{InferenceImage, KernelIsa};
+use kwt_baremetal::InferenceImage;
 use kwt_engine::{Engine, Prediction};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
@@ -68,7 +68,7 @@ pub struct EngineSpeedup {
 #[derive(Debug, Clone, Serialize)]
 pub struct CycleClassRow {
     /// Image variant the attribution belongs to (`accel`,
-    /// `accel_xkwtdot`, `accel_xkwtdot_a8`).
+    /// `accel_xkwtdot_a8`).
     pub variant: String,
     /// Kernel ISA (`rv32im` or `xkwtdot`).
     pub isa: String,
@@ -83,11 +83,11 @@ pub struct CycleClassRow {
 /// End-to-end simulated-device cycles for one image variant — the
 /// paper's "Inference Clock Cycles" metric (its KWT-Tiny trajectory:
 /// 26 M float → 13 M quantised → 5.5 M quantised + custom-1; this
-/// repro's smaller preset follows the same ordering, and the Xkwtdot
-/// row extends it).
+/// repro's smaller preset follows the same ordering, and the A8 row
+/// extends it).
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceCycles {
-    /// Image variant (`float`, `quant`, `accel`, `accel_xkwtdot`).
+    /// Image variant (`float`, `quant`, `accel`, `accel_xkwtdot_a8`).
     pub variant: String,
     /// Kernel ISA of the image.
     pub isa: String,
@@ -102,7 +102,7 @@ pub struct DeviceCycles {
 /// cycle regression localises to the kernel that caused it.
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceKernelRow {
-    /// Image variant (`accel`, `accel_xkwtdot`, `accel_xkwtdot_a8`).
+    /// Image variant (`accel`, `accel_xkwtdot_a8`).
     pub variant: String,
     /// Profiled region name (`attn/matmul`, `top/layernorm`, …).
     pub region: String,
@@ -206,10 +206,10 @@ pub struct EngineBenchSummary {
     /// cycles; gated by `paper check-cluster`).
     pub cluster_scaling: Vec<ClusterRow>,
     /// End-to-end device cycles per image variant (paper Table IX
-    /// analogue, extended with the Xkwtdot and A8 rows).
+    /// analogue, extended with the A8 row).
     pub device_cycles: Vec<DeviceCycles>,
     /// Per-instruction-class cycle attribution of the accelerated images
-    /// (scalar vs Xkwtdot vs A8) — where each win comes from.
+    /// (scalar vs A8) — where each win comes from.
     pub rv32_cycle_classes: Vec<CycleClassRow>,
     /// Per-kernel (profiled-region) cycle attribution of the accelerated
     /// images — GEMM vs LayerNorm vs attention vs boundary ops.
@@ -301,8 +301,6 @@ pub fn collect() -> EngineBenchSummary {
     let qm = QuantizedKwt::quantize(&params, QuantConfig::paper_best());
     let accel = qm.clone().with_nonlinearity(Nonlinearity::FixedLut);
     let image = InferenceImage::build_quant(&accel).expect("image builds");
-    let ximage = InferenceImage::build_quant_with_isa(&accel, KernelIsa::Xkwtdot)
-        .expect("xkwtdot image builds");
     let a8 = A8Kwt::quantize(&params, A8Config::paper_a8()).expect("a8 exponents valid");
     let a8image = InferenceImage::build_a8(&a8).expect("a8 image builds");
     let fe = kwt_tiny_frontend().expect("preset is valid");
@@ -353,27 +351,6 @@ pub fn collect() -> EngineBenchSummary {
         let img = image.clone();
         benches.push(measure(
             "rv32_sim",
-            clips,
-            move |c| {
-                let mfcc = f.extract_padded_reference(c).expect("mfcc");
-                black_box(img.run(&mfcc).expect("device run"));
-            },
-            &mut engine,
-        ));
-    }
-
-    // rv32_sim_xkwtdot: the same accelerated model over the custom-2
-    // packed-MAC image (bit-identical logits, far fewer simulated
-    // instructions). Every mode measures the xkwtdot image, so each row
-    // is self-consistent; the ISA win itself is the ratio between this
-    // backend's rows and the rv32_sim rows above.
-    {
-        let clips = bench_clips(rv32_clip_count());
-        let mut engine = Engine::rv32_sim(&ximage, fe.clone()).expect("engine");
-        let f = fe.clone();
-        let img = ximage.clone();
-        benches.push(measure(
-            "rv32_sim_xkwtdot",
             clips,
             move |c| {
                 let mfcc = f.extract_padded_reference(c).expect("mfcc");
@@ -535,7 +512,6 @@ pub fn collect() -> EngineBenchSummary {
         ("float", &float_image),
         ("quant", &quant_image),
         ("accel", &image),
-        ("accel_xkwtdot", &ximage),
         ("accel_xkwtdot_a8", &a8image),
     ] {
         let mut session = img.session().expect("session");
@@ -543,7 +519,7 @@ pub fn collect() -> EngineBenchSummary {
         let (_, run) = session.run(&mfcc).expect("device run");
         device_cycles.push(DeviceCycles {
             variant: variant.to_string(),
-            isa: img.isa.as_str().to_string(),
+            isa: img.flavor.isa().as_str().to_string(),
             cycles: run.cycles,
             instructions: run.instructions,
         });
@@ -551,7 +527,7 @@ pub fn collect() -> EngineBenchSummary {
             for (class, instructions, cycles) in session.machine().class_histogram().rows() {
                 rv32_cycle_classes.push(CycleClassRow {
                     variant: variant.to_string(),
-                    isa: img.isa.as_str().to_string(),
+                    isa: img.flavor.isa().as_str().to_string(),
                     class: class.name().to_string(),
                     instructions,
                     cycles,
@@ -703,7 +679,7 @@ pub fn run_and_write(out_dir: &std::path::Path) -> String {
             d.variant, d.isa, d.cycles, d.instructions
         ));
     }
-    out.push_str("accel image cycles by instruction class (scalar vs Xkwtdot vs A8):\n");
+    out.push_str("accel image cycles by instruction class (scalar vs A8):\n");
     for c in &summary.rv32_cycle_classes {
         out.push_str(&format!(
             "  {:<16} {:<8} {:<12} {:>12} instructions {:>12} cycles\n",

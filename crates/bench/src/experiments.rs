@@ -500,10 +500,6 @@ pub fn check_cycles(_ctx: &ExpContext) -> String {
             "float" => InferenceImage::build_float(&params).expect("float image"),
             "quant" => InferenceImage::build_quant(&qm).expect("quant image"),
             "accel" => InferenceImage::build_quant(&accel).expect("accel image"),
-            "accel_xkwtdot" => {
-                InferenceImage::build_quant_with_isa(&accel, kwt_baremetal::KernelIsa::Xkwtdot)
-                    .expect("xkwtdot image")
-            }
             "accel_xkwtdot_a8" => InferenceImage::build_a8(&a8).expect("a8 image"),
             other => panic!("unknown image variant `{other}` in cycle baseline"),
         }

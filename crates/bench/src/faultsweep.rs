@@ -3,7 +3,7 @@
 //! Sweeps the full fault taxonomy (RAM bit flips in the static image,
 //! transient register flips, forced decode traps, LUT ROM truncation,
 //! cycle-watchdog kills) across every image flavour the repository can
-//! build (`float`, `quant`, `accel`, `accel_xkwtdot`, `a8`) and checks
+//! build (`float`, `quant`, `accel`, `a8`) and checks
 //! the robustness contract on every cell:
 //!
 //! - **zero host panics** — every injected fault surfaces as a typed
@@ -26,7 +26,7 @@
 
 use crate::ExpContext;
 use kwt_audio::{MfccExtractor, MfccScratch};
-use kwt_baremetal::{BuildError, InferenceImage, KernelIsa};
+use kwt_baremetal::{BuildError, InferenceImage};
 use kwt_dataset::{GscConfig, Split, SyntheticGsc};
 use kwt_engine::{Backend, Engine, HostFloatBackend, ResilientConfig, Rv32SimBackend};
 use kwt_quant::{A8Config, A8Kwt, Nonlinearity, QuantConfig, QuantizedKwt};
@@ -351,11 +351,6 @@ pub fn run(ctx: &ExpContext, smoke: bool) -> String {
         (
             "accel",
             InferenceImage::build_quant(&accel).expect("accel image"),
-        ),
-        (
-            "accel_xkwtdot",
-            InferenceImage::build_quant_with_isa(&accel, KernelIsa::Xkwtdot)
-                .expect("xkwtdot image"),
         ),
         ("a8", InferenceImage::build_a8(&a8).expect("a8 image")),
     ];

@@ -8,25 +8,36 @@ use kwt_engine::{Engine, Prediction, StreamingConfig, StreamingKws};
 use kwt_model::{KwtConfig, KwtParams};
 use kwt_quant::{QuantConfig, QuantizedKwt};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so a proof
+    /// counts only its own work, never a neighbouring test's — libtest
+    /// runs tests on parallel threads.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the slot is gone while the thread tears down its
+    // thread-locals; allocations made then go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -38,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 fn trained_ish() -> KwtParams {
@@ -182,4 +194,41 @@ fn window_wave_steady_state_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "window wave hot loop allocated {n} times");
+}
+
+#[test]
+fn proof_ignores_allocations_on_other_threads() {
+    // A proof must count only its own thread: here a neighbour thread
+    // allocates in a loop for the whole measured window (the window
+    // waits until the neighbour has made 1,000 allocations inside it),
+    // and the host_float steady state must still read exactly zero.
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let clips: Vec<Vec<f32>> = (0..3).map(clip).collect();
+    let mut engine = Engine::host_float(trained_ish(), kwt_tiny_frontend().unwrap()).unwrap();
+    let mut pred = Prediction::default();
+    for audio in &clips {
+        engine.classify_into(audio, &mut pred).unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let neighbour_allocs = AtomicU64::new(0);
+    let n = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(Vec::<u8>::with_capacity(64));
+                neighbour_allocs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let n = allocations(|| {
+            let start = neighbour_allocs.load(Ordering::Relaxed);
+            for audio in &clips {
+                engine.classify_into(audio, &mut pred).unwrap();
+            }
+            while neighbour_allocs.load(Ordering::Relaxed) < start + 1_000 {
+                std::hint::spin_loop();
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        n
+    });
+    assert_eq!(n, 0, "proof counted {n} allocations it did not make");
 }

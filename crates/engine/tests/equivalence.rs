@@ -102,33 +102,6 @@ fn rv32_engine_matches_one_shot_image_run() {
 }
 
 #[test]
-fn rv32_engine_isa_toggle_is_bit_identical_and_faster() {
-    // The same accelerated model behind the engine on both kernel ISAs:
-    // identical logits clip-for-clip, with the Xkwtdot image spending a
-    // small fraction of the scalar image's simulated cycles.
-    use kwt_baremetal::KernelIsa;
-    let qm = quantized().with_nonlinearity(Nonlinearity::FixedLut);
-    let scalar_img = InferenceImage::build_quant(&qm).unwrap();
-    let packed_img = InferenceImage::build_quant_with_isa(&qm, KernelIsa::Xkwtdot).unwrap();
-    let fe = kwt_tiny_frontend().unwrap();
-    let mut scalar = Engine::rv32_sim(&scalar_img, fe.clone()).unwrap();
-    let mut packed = Engine::rv32_sim(&packed_img, fe).unwrap();
-    for seed in [4u64, 12] {
-        let audio = clip(seed);
-        let a = scalar.classify(&audio).unwrap();
-        let b = packed.classify(&audio).unwrap();
-        assert_bits_eq(&a.logits, &b.logits, "scalar vs xkwtdot engine");
-        assert_eq!(a.class, b.class);
-        let ca = scalar.last_device_run().unwrap().cycles;
-        let cb = packed.last_device_run().unwrap().cycles;
-        assert!(
-            cb * 3 < ca,
-            "xkwtdot should cut simulated cycles >3x: {cb} vs {ca}"
-        );
-    }
-}
-
-#[test]
 fn a8_engine_prequantized_upload_matches_float_feature_path() {
     // An A8 backend advertises its input exponent, so the engine feeds
     // the device front-end-quantised i8 features directly. Logits must
@@ -220,9 +193,9 @@ fn parallel_batch_identical_to_serial_on_rv32() {
     // The sharded batch path must match the serial path bit-for-bit, in
     // order, for any thread count — each worker owns its own
     // DeviceSession clone and sessions are stateless across inputs.
-    let qm = quantized().with_nonlinearity(Nonlinearity::FixedLut);
-    let image =
-        InferenceImage::build_quant_with_isa(&qm, kwt_baremetal::KernelIsa::Xkwtdot).unwrap();
+    use kwt_quant::{A8Config, A8Kwt};
+    let a8 = A8Kwt::quantize(&trained_ish(), A8Config::paper_a8()).unwrap();
+    let image = InferenceImage::build_a8(&a8).unwrap();
     let fe = kwt_tiny_frontend().unwrap();
     let mut engine = Engine::rv32_sim(&image, fe).unwrap();
     let clips: Vec<Vec<f32>> = (0..7).map(clip).collect();

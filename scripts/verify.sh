@@ -19,7 +19,8 @@
 #                              device/host bit-identity;
 #   * `paper check-frontend` — fixed-point MFCC vs f64 oracle top-1
 #                              agreement (>= 99.5 %) on the synth split;
-#   * `paper check-cycles`   — device cycles per image flavour vs the
+#   * `paper check-cycles`   — device cycles of the four image flavours
+#                              (float, quant, accel, A8) vs the
 #                              committed BENCH_engine.json (<= +3 %);
 #   * `paper check-cluster`  — multi-hart cluster gate: a 1-hart cluster
 #                              bit- and cycle-identical to the serial
@@ -38,7 +39,7 @@
 #                              fresh derivation, and no tuned kernel may
 #                              be slower than its generic counterpart;
 #   * `paper fault-sweep`    — chaos harness: injected faults across the
-#                              taxonomy x every image flavour must yield
+#                              taxonomy x the four image flavours must yield
 #                              typed errors, exact recovery, or exact
 #                              failover — and zero host panics;
 #   * `paper check-cascade`  — wake-word cascade gate: device cascade
@@ -162,9 +163,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q >/dev/null 2>&1 \
     || fail "cargo doc"
 echo "docs OK"
 
-echo "== smoke: isa_ratio example =="
-cargo run --release -q -p kwt-bench --example isa_ratio >/dev/null \
-    || fail "isa_ratio example"
-echo "isa_ratio OK"
+echo "== smoke: a8_cycles example =="
+cargo run --release -q -p kwt-bench --example a8_cycles >/dev/null \
+    || fail "a8_cycles example"
+echo "a8_cycles OK"
 
 echo "verify: all green"
